@@ -1,9 +1,10 @@
 // Command goldencheck is the CI golden-result gate: it re-runs the five
 // determinism benchmarks (cfd, mst, stream, lbm, kmeans) under the default
 // and the retargeted occ16x8 configuration — the exact sweep
-// internal/gpusim's TestGoldenCounters pins — with metrics collection
-// enabled, and diffs every deterministic counter and distribution against
-// the checked-in golden file.
+// internal/gpusim's TestGoldenCounters pins — plus the default
+// configuration on the epoch-parallel engine (par4: 4 workers, default
+// quantum), with metrics collection enabled, and diffs every deterministic
+// counter and distribution against the checked-in golden file.
 //
 // The gate catches what the unit test alone cannot: the goldens pin the
 // LaunchResult aggregates, while this tool pins the full internal/metrics
@@ -43,13 +44,22 @@ const (
 )
 
 var goldenBenches = []string{"cfd", "mst", "stream", "lbm", "kmeans"}
-var goldenConfigs = []string{"default", "occ16x8"}
+var goldenConfigs = []string{"default", "occ16x8", "par4"}
 
 func goldenConfig(name string) gpusim.Config {
 	if name == "occ16x8" {
 		return gpusim.DefaultConfig().WithOccupancy(16, 8)
 	}
 	return gpusim.DefaultConfig()
+}
+
+// goldenWorkers is the RunOptions.Workers of a configuration: par4 pins the
+// epoch-parallel engine, every other configuration the serial one.
+func goldenWorkers(name string) int {
+	if name == "par4" {
+		return 4
+	}
+	return 0
 }
 
 func goldenUnitSize(total int64) int64 {
@@ -83,7 +93,7 @@ func runCase(config, bench string) (caseResult, error) {
 	mc := metrics.New()
 	unit := goldenUnitSize(app.TotalWarpInsts())
 	for _, l := range app.Launches {
-		sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: unit, CollectBBV: true, Metrics: mc})
+		sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: unit, CollectBBV: true, Workers: goldenWorkers(config), Metrics: mc})
 	}
 	snap := mc.Snapshot()
 	return caseResult{Counters: snap.Counters, Dists: snap.Dists}, nil
