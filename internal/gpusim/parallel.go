@@ -4,12 +4,14 @@
 // goroutine. This file trades a bounded amount of cross-SM timing accuracy
 // for wall-clock speed, following the epoch model of "Parallelizing a
 // modern GPU simulator" (arXiv 2502.14691): SMs are partitioned into
-// contiguous shards, one per worker, and every shard advances its SMs
-// independently through a time quantum of Q cycles. Shards meet at a
-// barrier at the end of each epoch, where a single goroutine services all
-// deferred memory traffic against the shared L2/DRAM, retires thread
-// blocks, dispatches replacements, closes sampling units, and polls
-// cancellation.
+// contiguous shards, one per worker, and every SM advances independently
+// through a time quantum of Q cycles. Shards meet at a barrier at the end
+// of each epoch, where a single goroutine services all deferred memory
+// traffic against the shared L2/DRAM, retires thread blocks, dispatches
+// replacements, closes sampling units, and polls cancellation.
+//
+// Shards are run by at most min(Workers, GOMAXPROCS) goroutines, the
+// caller included, each owning a contiguous block of shards (see parPool).
 //
 // Ownership rules (what makes the data-race-free part trivial):
 //
@@ -25,11 +27,12 @@
 //     and the address buffer.
 //
 // Determinism contract: for a fixed quantum the simulation is a pure
-// function of the launch — independent of the worker count — because (a)
-// an SM's intra-epoch execution depends only on its own state, (b) the
-// barrier services deferred requests in a globally sorted (arrive, sm,
-// seq) order, and (c) retirement/dispatch processing is sorted by
-// (cycle, sm). Worker count only changes which goroutine computes what.
+// function of the launch — independent of the worker count and of
+// GOMAXPROCS — because (a) an SM's intra-epoch execution depends only on
+// its own state, (b) the barrier services deferred requests in a globally
+// sorted (arrive, sm, idx) order, and (c) retirement/dispatch processing
+// is sorted by (cycle, sm). Worker count only changes which goroutine
+// computes what.
 //
 // Accuracy: memory requests that miss the L1 are deferred to the epoch
 // barrier, so a warp whose miss would have returned mid-epoch instead
@@ -43,11 +46,14 @@
 package gpusim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tbpoint/internal/isa"
 	"tbpoint/internal/metrics"
@@ -149,16 +155,14 @@ const (
 // need not carry their cycle. Pushes further out than the span go to the
 // overflow heap, which pops directly when due.
 //
-// pos is the window anchor and is moved ONLY at sharding-invariant points
-// — the epoch start before workers launch, the epoch end at the barrier —
-// never by drainTo. A shard's drain progression depends on the other SMs
-// it happens to share a worker with; anchoring the wheel-vs-overflow
-// decision (and the barrier's wake-vs-ready decision) to it would leak the
-// sharding into results and break worker-count invariance. The invariant
-// holds at both anchors: intra-epoch pushes land in (start, start +
-// span), every entry still bucketed when an epoch ends is >= end (the
-// epoch loop drained everything earlier), and barrier pushes land in
-// (end, end + span).
+// pos is the window anchor and is moved ONLY at the epoch bounds — the
+// epoch start, as the SM begins stepping, and the epoch end at the barrier
+// — never by drainTo. That keeps the wheel-vs-overflow decision (and the
+// barrier's wake-vs-ready decision) a function of the epoch bounds alone,
+// not of where an SM's stepping loop happened to stop. The invariant holds
+// at both anchors: intra-epoch pushes land in (start, start + span), every
+// entry still bucketed when an epoch ends is >= end (the SM drained
+// everything earlier), and barrier pushes land in (end, end + span).
 type parWheel struct {
 	buckets  [][]warpRef // parWheelSize rings, allocated on first push
 	sum      [parWheelSize / 64]uint64
@@ -293,19 +297,99 @@ type parReqRef struct {
 	sm, idx int32
 }
 
-// parEpoch is one unit of work handed to a worker: simulate [start, end).
-type parEpoch struct{ start, end int64 }
+// parCountSortMaxSpan bounds the arrive-cycle span the barrier sorts by
+// counting. Arrivals lie within one quantum plus trace.MaxRequests of the
+// epoch start, so only quanta far above DefaultQuantum exceed it and fall
+// back to a comparison sort (same order, O(n log n)).
+const parCountSortMaxSpan = 1 << 16
 
 // parState is the recycled state of the parallel engine (runState.par).
 type parState struct {
 	shards  []parShard
 	sms     []parSM
 	reqRefs []parReqRef
+	counts  []int32 // counting-sort buckets, one per arrive cycle
 	retires []parRetire
 	// maxRetire tracks the last retirement cycle; it becomes the launch's
 	// Cycles (the serial loop's exit cycle is likewise the final retire
 	// cycle).
 	maxRetire int64
+}
+
+// parPool runs each epoch's shards on up to GOMAXPROCS goroutines: the
+// caller plus helpers, each owning a contiguous block of shards (blocks
+// that interleave share cache lines at their edges). An epoch is tens of
+// microseconds of work, about what a channel send, futex wake and
+// WaitGroup join cost, so helpers poll instead of blocking: the caller
+// publishes an epoch by bumping seq, and every helper that sees the new
+// value runs its block and decrements pending. The atomics order the epoch
+// bounds before the helpers' reads and the helpers' shard writes before
+// the caller's barrier.
+type parPool struct {
+	seq     atomic.Int64 // epoch sequence number; parPoolStop shuts helpers down
+	pending atomic.Int32 // helpers still running the current epoch
+	epoch   struct{ start, end int64 }
+	blocks  [][]parShard // blocks[0] runs on the caller
+	exited  sync.WaitGroup
+}
+
+const parPoolStop = -1
+
+// startPool splits shards into min(len(shards), GOMAXPROCS) contiguous
+// blocks and starts one helper goroutine per block after the first.
+func startPool(shards []parShard) *parPool {
+	g := min(len(shards), runtime.GOMAXPROCS(0))
+	pp := &parPool{blocks: make([][]parShard, g)}
+	for i := range pp.blocks {
+		pp.blocks[i] = shards[i*len(shards)/g : (i+1)*len(shards)/g]
+	}
+	pp.exited.Add(g - 1)
+	for _, blk := range pp.blocks[1:] {
+		go pp.help(blk)
+	}
+	return pp
+}
+
+func (pp *parPool) help(blk []parShard) {
+	defer pp.exited.Done()
+	seen := int64(0)
+	for {
+		s := pp.seq.Load()
+		if s == seen {
+			runtime.Gosched()
+			continue
+		}
+		if s == parPoolStop {
+			return
+		}
+		seen = s
+		runBlock(blk, pp.epoch.start, pp.epoch.end)
+		pp.pending.Add(-1)
+	}
+}
+
+// runEpoch simulates [start, end) on every shard and returns once all of
+// them have finished.
+func (pp *parPool) runEpoch(start, end int64) {
+	pp.epoch.start, pp.epoch.end = start, end
+	pp.pending.Store(int32(len(pp.blocks) - 1))
+	pp.seq.Add(1)
+	runBlock(pp.blocks[0], start, end)
+	for pp.pending.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// stop shuts the helpers down and waits until they have exited.
+func (pp *parPool) stop() {
+	pp.seq.Store(parPoolStop)
+	pp.exited.Wait()
+}
+
+func runBlock(blk []parShard, start, end int64) {
+	for i := range blk {
+		blk[i].runEpoch(start, end)
+	}
 }
 
 // runParallel is the epoch-synchronized counterpart of run(). The caller
@@ -362,40 +446,16 @@ func (rs *runState) runParallel() {
 		}
 	}
 
-	// Persistent worker pool: one goroutine per extra shard, fed epochs
-	// over a channel; shard 0 runs on the calling goroutine. A worker
-	// panic is captured per shard and re-raised deterministically (lowest
-	// shard first) after the epoch joins, so the pool always shuts down
-	// cleanly — the chaos tests rely on this.
-	var wg sync.WaitGroup
-	cmds := make([]chan parEpoch, workers-1)
-	for i := range cmds {
-		cmds[i] = make(chan parEpoch, 1)
-		go func(sh *parShard, c <-chan parEpoch) {
-			for e := range c {
-				sh.runEpoch(e.start, e.end)
-				wg.Done()
-			}
-		}(&p.shards[i+1], cmds[i])
-	}
-	defer func() {
-		for _, c := range cmds {
-			close(c)
-		}
-	}()
+	// A worker panic is captured per shard and re-raised deterministically
+	// (lowest shard first) after the epoch joins; the deferred stop shuts
+	// the pool down on every exit path — the chaos tests rely on this.
+	pool := startPool(p.shards)
+	defer pool.stop()
 
 	start := int64(0)
 	for rs.liveTBs > 0 && !rs.aborted {
 		end := start + quantum
-		for i := range p.sms {
-			p.sms[i].wheel.pos = start
-		}
-		wg.Add(len(cmds))
-		for _, c := range cmds {
-			c <- parEpoch{start, end}
-		}
-		p.shards[0].runEpoch(start, end)
-		wg.Wait()
+		pool.runEpoch(start, end)
 		for i := range p.shards {
 			if v := p.shards[i].panicV; v != nil {
 				panic(fmt.Sprintf("gpusim: parallel shard %d panicked: %v\n%s",
@@ -441,9 +501,10 @@ func (rs *runState) runParallel() {
 	rs.finishRun()
 }
 
-// runEpoch advances the shard's SMs through [start, end). Within a cycle
-// SMs issue in ascending id, like the serial loop; when no SM in the shard
-// has work at the current cycle, time skips to the shard's next wake.
+// runEpoch advances the shard's SMs through [start, end), one SM at a
+// time. Inside an epoch SMs share no state — misses, retirements, dispatch
+// and sampling units all wait for the barrier — so stepping each SM on its
+// own gives exactly the cycle-interleaved result.
 func (sh *parShard) runEpoch(start, end int64) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -451,34 +512,35 @@ func (sh *parShard) runEpoch(start, end int64) {
 			sh.panicStack = debug.Stack()
 		}
 	}()
-	rs := sh.rs
+	for i := sh.lo; i < sh.hi; i++ {
+		sh.stepSM(&sh.rs.sms[i], &sh.rs.par.sms[i].wheel, start, end)
+	}
+}
+
+// stepSM runs one SM through [start, end): at each cycle it drains the
+// SM's due wakes and issues one ready warp, then advances one cycle while
+// warps stay ready, or jumps to the SM's next wake.
+func (sh *parShard) stepSM(sm *smState, pw *parWheel, start, end int64) {
+	pw.pos = start
 	cycle := start
-	for cycle < end {
-		next := int64(-1)
-		for i := sh.lo; i < sh.hi; i++ {
-			sm := &rs.sms[i]
-			pw := &rs.par.sms[i].wheel
-			pw.drainTo(sm, cycle)
-			if !sm.hasReady() {
-				if c := pw.peekNext(); c != 0 && (next == -1 || c < next) {
-					next = c
-				}
-				continue
-			}
+	for {
+		pw.drainTo(sm, cycle)
+		if sm.hasReady() {
 			sh.mct.smVisits++
 			ref, _ := sm.popReady()
 			sh.issue(sm, ref, cycle)
 			if sm.hasReady() {
-				next = cycle + 1
-			} else if c := pw.peekNext(); c != 0 && (next == -1 || c < next) {
-				next = c
+				if cycle++; cycle == end {
+					return
+				}
+				continue
 			}
 		}
-		if next == -1 {
-			return // shard idle until the barrier
-		}
-		if next <= cycle {
-			next = cycle + 1
+		// Everything due by cycle was drained and issue pushes only later
+		// wakes, so next > cycle.
+		next := pw.peekNext()
+		if next == 0 || next >= end {
+			return // SM idle until the barrier
 		}
 		if next > cycle+1 {
 			sh.mct.timeJumps++
@@ -699,23 +761,7 @@ func (rs *runState) barrier(end int64) {
 
 	// 2. Service deferred L1 misses against the L2/DRAM in globally sorted
 	// (arrive, sm, index) order — a total order independent of sharding.
-	refs := p.reqRefs[:0]
-	for smi := range p.sms {
-		for ri := range p.sms[smi].reqs {
-			refs = append(refs, parReqRef{arrive: p.sms[smi].reqs[ri].arrive, sm: int32(smi), idx: int32(ri)})
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		if a.arrive != b.arrive {
-			return a.arrive < b.arrive
-		}
-		if a.sm != b.sm {
-			return a.sm < b.sm
-		}
-		return a.idx < b.idx
-	})
-	p.reqRefs = refs
+	refs := p.sortReqRefs()
 	l2Lat := int64(m.cfg.L2.HitLat)
 	rtLat := int64(m.cfg.L1.HitLat + m.cfg.L2.HitLat)
 	for _, r := range refs {
@@ -789,17 +835,13 @@ func (rs *runState) barrier(end int64) {
 	// serial path's view.
 	rets := p.retires[:0]
 	for smi := range p.sms {
-		psm := &p.sms[smi]
-		for _, r := range psm.retires {
-			rets = append(rets, r)
-		}
+		rets = append(rets, p.sms[smi].retires...)
 	}
-	sort.Slice(rets, func(i, j int) bool {
-		a, b := rets[i], rets[j]
-		if a.cycle != b.cycle {
-			return a.cycle < b.cycle
+	slices.SortFunc(rets, func(a, b parRetire) int {
+		if c := cmp.Compare(a.cycle, b.cycle); c != 0 {
+			return c
 		}
-		return a.sm < b.sm
+		return cmp.Compare(a.sm, b.sm)
 	})
 	p.retires = rets
 	h := rs.hooks()
@@ -833,4 +875,74 @@ func (rs *runState) barrier(end int64) {
 		rs.closeFixedUnit()
 	}
 	rs.checkAbort()
+}
+
+// sortReqRefs gathers every SM's deferred requests into p.reqRefs in
+// (arrive, sm, idx) order. Gathering walks SMs ascending and each SM's
+// requests in creation order, so a stable counting sort on arrive alone
+// yields the full order in O(n + span), span being the spread of arrive
+// cycles (about one quantum plus trace.MaxRequests).
+func (p *parState) sortReqRefs() []parReqRef {
+	n := 0
+	lo, hi := int64(0), int64(-1)
+	for smi := range p.sms {
+		for _, r := range p.sms[smi].reqs {
+			if n == 0 || r.arrive < lo {
+				lo = r.arrive
+			}
+			if n == 0 || r.arrive > hi {
+				hi = r.arrive
+			}
+			n++
+		}
+	}
+	refs := slices.Grow(p.reqRefs[:0], n)[:n]
+	p.reqRefs = refs
+	if n == 0 {
+		return refs
+	}
+	span := hi - lo + 1
+	if span > parCountSortMaxSpan {
+		k := 0
+		for smi := range p.sms {
+			for ri, r := range p.sms[smi].reqs {
+				refs[k] = parReqRef{arrive: r.arrive, sm: int32(smi), idx: int32(ri)}
+				k++
+			}
+		}
+		slices.SortFunc(refs, compareReqRefs)
+		return refs
+	}
+	// counts[c] is the number of requests arriving before lo+c, then the
+	// next free position for arrive cycle lo+c.
+	counts := slices.Grow(p.counts[:0], int(span)+1)[:span+1]
+	clear(counts)
+	p.counts = counts
+	for smi := range p.sms {
+		for _, r := range p.sms[smi].reqs {
+			counts[r.arrive-lo+1]++
+		}
+	}
+	for c := 1; c < len(counts); c++ {
+		counts[c] += counts[c-1]
+	}
+	for smi := range p.sms {
+		for ri, r := range p.sms[smi].reqs {
+			c := r.arrive - lo
+			refs[counts[c]] = parReqRef{arrive: r.arrive, sm: int32(smi), idx: int32(ri)}
+			counts[c]++
+		}
+	}
+	return refs
+}
+
+// compareReqRefs is the (arrive, sm, idx) order of deferred requests.
+func compareReqRefs(a, b parReqRef) int {
+	if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.sm, b.sm); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }

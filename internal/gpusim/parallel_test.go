@@ -2,11 +2,16 @@ package gpusim
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/trace"
 )
 
 // parConfig returns an 8-SM configuration so worker counts up to 8 shard
@@ -191,4 +196,154 @@ func TestParallelSmallQuantumBarrierHammer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceReqOrder is the barrier's request order written as a plain
+// comparator sort: (arrive, sm, idx) ascending.
+func referenceReqOrder(p *parState) []parReqRef {
+	var refs []parReqRef
+	for smi := range p.sms {
+		for ri, r := range p.sms[smi].reqs {
+			refs = append(refs, parReqRef{arrive: r.arrive, sm: int32(smi), idx: int32(ri)})
+		}
+	}
+	sort.Slice(refs, func(i, j int) bool {
+		a, b := refs[i], refs[j]
+		if a.arrive != b.arrive {
+			return a.arrive < b.arrive
+		}
+		if a.sm != b.sm {
+			return a.sm < b.sm
+		}
+		return a.idx < b.idx
+	})
+	return refs
+}
+
+func TestParallelBarrierOrderMatchesComparatorSort(t *testing.T) {
+	// Random per-SM request lists shaped like an epoch's: each memory
+	// instruction issues at a cycle in [start, start+quantum) and its
+	// divergent requests arrive up to MaxRequests-1 cycles later, so the
+	// last ones land past the epoch end. Lists are not sorted within an
+	// SM, which is stricter than what the epoch loop produces.
+	rng := rand.New(rand.NewSource(1))
+	cases := []struct {
+		name         string
+		nsm, maxInst int
+		quantum      int64
+	}{
+		{"empty", 8, 0, DefaultQuantum},
+		{"one-sm", 1, 40, DefaultQuantum},
+		{"quantum-1", 8, 3, 1},
+		{"default", 8, 60, DefaultQuantum},
+		{"sparse-sms", 16, 2, 17},
+		{"wide-span", 4, 20, parCountSortMaxSpan + 1000},
+	}
+	p := &parState{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 50; round++ {
+				start := rng.Int63n(1 << 40)
+				p.sms = make([]parSM, tc.nsm)
+				for smi := range p.sms {
+					insts := 0
+					if tc.maxInst > 0 {
+						insts = rng.Intn(tc.maxInst + 1)
+					}
+					for k := 0; k < insts; k++ {
+						cycle := start + rng.Int63n(tc.quantum)
+						nreq := 1 + rng.Intn(trace.MaxRequests)
+						for i := 0; i < nreq; i++ {
+							p.sms[smi].reqs = append(p.sms[smi].reqs, parReq{arrive: cycle + int64(i)})
+						}
+					}
+				}
+				want := referenceReqOrder(p)
+				got := p.sortReqRefs()
+				if len(got) != len(want) {
+					t.Fatalf("round %d: %d refs, want %d", round, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("round %d: ref %d = %+v, want %+v", round, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// poolGoroutines runs f, checks that the parallel engine had wantHelpers
+// pool goroutines beside the caller while the launch ran (sampled from a
+// barrier-side hook), and that none of them outlived RunLaunch.
+func poolGoroutines(t *testing.T, wantHelpers int, f func(hooks *Hooks)) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	during := -1
+	f(&Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
+		if during < 0 {
+			during = runtime.NumGoroutine()
+		}
+	}})
+	if during-before != wantHelpers {
+		t.Errorf("%d goroutines beside the caller during the run, want %d", during-before, wantHelpers)
+	}
+	// A helper that has signalled its exit may still be unwinding; allow
+	// it a moment, but a leaked helper polls forever and fails here.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines outlived RunLaunch", n-before)
+	}
+}
+
+func TestParallelPoolInvariantUnderGOMAXPROCS(t *testing.T) {
+	// The pool caps its goroutines at GOMAXPROCS; shard count and results
+	// must not depend on it. At GOMAXPROCS 1 every shard runs inline.
+	sim := MustNew(parConfig())
+	opts := RunOptions{FixedUnitInsts: 500, CollectBBV: true, Quantum: 256}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	opts.Workers = 2
+	base := runPar(t, sim, opts)
+	runtime.GOMAXPROCS(1)
+	for _, w := range []int{2, 4, 8} {
+		opts.Workers = w
+		if got := runPar(t, sim, opts); !fingerprintsEqual(base, got) {
+			t.Fatalf("workers=%d at GOMAXPROCS 1 diverged from workers=2 at GOMAXPROCS 2", w)
+		}
+	}
+}
+
+func TestParallelPoolGoroutinesDoNotOutliveRun(t *testing.T) {
+	sim := MustNew(parConfig())
+	l := makeLaunch(computeKernel(), 48, 8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ workers, helpers int }{{8, 3}, {4, 3}, {2, 1}} {
+		poolGoroutines(t, tc.helpers, func(hooks *Hooks) {
+			sim.RunLaunch(l, RunOptions{Workers: tc.workers, Hooks: hooks})
+		})
+	}
+	runtime.GOMAXPROCS(1)
+	poolGoroutines(t, 0, func(hooks *Hooks) {
+		sim.RunLaunch(l, RunOptions{Workers: 8, Hooks: hooks})
+	})
+
+	// A panic out of a barrier-side hook unwinds RunLaunch; the pool must
+	// still be shut down.
+	runtime.GOMAXPROCS(4)
+	poolGoroutines(t, 3, func(hooks *Hooks) {
+		defer func() {
+			if recover() == nil {
+				t.Error("hook panic did not propagate")
+			}
+		}()
+		count := hooks.OnTBRetire
+		inj := faultcheck.OnNth(3, faultcheck.Panic)
+		sim.RunLaunch(l, RunOptions{Workers: 4, Hooks: &Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
+			count(tb, sm, cycle)
+			_ = inj.Fire()
+		}}})
+	})
 }

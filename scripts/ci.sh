@@ -27,9 +27,10 @@
 #           shape, Pareto section, CI columns, sampler.* counters), and
 #           the byte-identity invariant that an explicitly selected
 #           default trio equals an unflagged run
-#   parsm   the -parallel-sm event loop: race-detector pass over the
+#   parsm   the -parallel-sm event loop: race-detector passes over the
 #           TestParallel* suite (barrier hammer, determinism, worker-count
-#           invariance, chaos cancellation), then a serial-vs-parallel
+#           invariance, chaos cancellation, epoch pool), at the host's
+#           GOMAXPROCS and at GOMAXPROCS=1, then a serial-vs-parallel
 #           agreement run via cmd/experiments that fails on any
 #           instruction-count mismatch or cycle divergence > 5%
 #   serve   the tbpointd job server end to end, race-instrumented: boot on
@@ -233,8 +234,11 @@ run_parsm() {
   # suite (epoch barriers, pool shutdown, mid-epoch cancellation), then an
   # end-to-end audit that the parallel loop simulates exactly the serial
   # loop's instructions with bounded cycle divergence. -count=1 because
-  # these tests exist to exercise real goroutine interleavings.
+  # these tests exist to exercise real goroutine interleavings. The
+  # GOMAXPROCS=1 pass runs every shard on the caller (the epoch pool caps
+  # its goroutines at GOMAXPROCS), so both hand-off paths are covered.
   go test -race -count=1 -run 'TestParallel' ./internal/gpusim/
+  GOMAXPROCS=1 go test -race -count=1 -run 'TestParallel' ./internal/gpusim/
   go run ./cmd/experiments -par 1 -scale 0.02 -bench stream,black,cfd \
     -parallel-sm 8 -max-divergence 0.05 agreement >/dev/null
 }
