@@ -479,3 +479,26 @@ func distance(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
+
+func TestSampleLaunchIsBitReproducible(t *testing.T) {
+	// Nine homogeneous phases give several fast-forwarded regions; the
+	// predicted cycles sum one term per region and must not depend on map
+	// iteration order. Only some orders round differently, so the estimate
+	// is repeated 50 times.
+	sim := gpusim.MustNew(testConfig())
+	k := phasedKernel()
+	l := launchWithPhases(k, 3600, [][2]int{{8, 3}, {2, 9}, {16, 1}, {4, 6}, {12, 2}, {1, 12}, {6, 5}, {10, 4}, {3, 7}})
+	lp := funcsim.ProfileLaunch(l)
+	occ := sim.Config().Limits.SystemOccupancy(k, sim.Config().NumSMs)
+	rt := IdentifyRegions(lp, occ, 0.2, 0.3)
+	first := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+	if n := len(first.SkippedByRegion); n < 3 {
+		t.Fatalf("%d regions fast-forwarded, want >= 3 for the order to matter", n)
+	}
+	for rep := 0; rep < 50; rep++ {
+		got := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+		if math.Float64bits(got.PredictedCycles) != math.Float64bits(first.PredictedCycles) {
+			t.Fatalf("repeat %d: predicted cycles %v, first run %v", rep, got.PredictedCycles, first.PredictedCycles)
+		}
+	}
+}

@@ -9,6 +9,8 @@
 package simpoint
 
 import (
+	"sort"
+
 	"tbpoint/internal/cluster"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/sampling"
@@ -95,7 +97,15 @@ func Run(full *sampling.AppRun, opts Options) Result {
 	var predCycles float64
 	var selInsts int64
 	selectedUnit := map[int]bool{}
-	for cid, idxs := range members {
+	// Clusters in ascending id, so Points and the float sum are the same
+	// on every run.
+	cids := make([]int, 0, len(members))
+	for cid := range members {
+		cids = append(cids, cid)
+	}
+	sort.Ints(cids)
+	for _, cid := range cids {
+		idxs := members[cid]
 		rep := reps[cid]
 		res.Points = append(res.Points, rep)
 		selectedUnit[rep] = true

@@ -1,6 +1,8 @@
 package simpoint
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"tbpoint/internal/gpusim"
@@ -124,5 +126,41 @@ func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
 	if o.MaxK != 30 || o.BICFrac != 0.9 {
 		t.Errorf("DefaultOptions = %+v", o)
+	}
+}
+
+func TestRunIsBitReproducible(t *testing.T) {
+	// Five well-separated BBV phases with unit CPIs whose weighted sum
+	// rounds differently depending on the order it is added in: the
+	// estimate must not depend on map iteration order.
+	run := &sampling.AppRun{}
+	for phase := 0; phase < 5; phase++ {
+		lr := &gpusim.LaunchResult{}
+		for i := 0; i < 6; i++ {
+			bbv := make([]int64, 5)
+			bbv[phase] = 1000
+			bbv[(phase+1)%5] = int64(i)
+			lr.FixedUnits = append(lr.FixedUnits, gpusim.FixedUnit{
+				Index:     i,
+				WarpInsts: 1000 + int64(7*i+phase),
+				Cycles:    3001 + int64(phase*977+i*131),
+				BBV:       bbv,
+			})
+		}
+		run.Launches = append(run.Launches, lr)
+	}
+	first := Run(run, DefaultOptions())
+	if first.K < 3 {
+		t.Fatalf("K = %d, want >= 3 clusters for the order to matter", first.K)
+	}
+	for rep := 0; rep < 20; rep++ {
+		got := Run(run, DefaultOptions())
+		if math.Float64bits(got.Estimate.PredictedCycles) != math.Float64bits(first.Estimate.PredictedCycles) {
+			t.Fatalf("repeat %d: predicted cycles %v, first run %v",
+				rep, got.Estimate.PredictedCycles, first.Estimate.PredictedCycles)
+		}
+		if !reflect.DeepEqual(got.Points, first.Points) {
+			t.Fatalf("repeat %d: points %v, first run %v", rep, got.Points, first.Points)
+		}
 	}
 }
