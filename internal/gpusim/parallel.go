@@ -272,7 +272,8 @@ func (pw *parWheel) scanFrom(from int64) int64 {
 	panic("gpusim: parallel wake wheel lost an entry")
 }
 
-// parShard is one worker's slice of the GPU plus its private scratch.
+// parShard is one worker's contiguous slice of the SMs plus its private
+// scratch. The pool hands whole shards to goroutines (see parPool).
 type parShard struct {
 	rs     *runState
 	lo, hi int // SM id range [lo, hi)
