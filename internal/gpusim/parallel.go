@@ -301,7 +301,9 @@ type parReqRef struct {
 // parCountSortMaxSpan bounds the arrive-cycle span the barrier sorts by
 // counting. Arrivals lie within one quantum plus trace.MaxRequests of the
 // epoch start, so only quanta far above DefaultQuantum exceed it and fall
-// back to a comparison sort (same order, O(n log n)).
+// back to a comparison sort (same order, O(n log n)). The CLIs and the
+// server accept any quantum, so the fallback bounds the buckets' memory;
+// no benchmark workload reaches it.
 const parCountSortMaxSpan = 1 << 16
 
 // parState is the recycled state of the parallel engine (runState.par).
@@ -321,51 +323,97 @@ type parState struct {
 // caller plus helpers, each owning a contiguous block of shards (blocks
 // that interleave share cache lines at their edges). An epoch is tens of
 // microseconds of work, about what a channel send, futex wake and
-// WaitGroup join cost, so helpers poll instead of blocking: the caller
+// WaitGroup join cost, so a waiting goroutine polls first: the caller
 // publishes an epoch by bumping seq, and every helper that sees the new
-// value runs its block and decrements pending. The atomics order the epoch
-// bounds before the helpers' reads and the helpers' shard writes before
-// the caller's barrier.
+// value runs its block and decrements pending. A goroutine that polls
+// parSpins times in vain parks (parParker), so launches running side by
+// side do not keep idle helpers spinning through each other's epochs. The
+// atomics order the epoch bounds before the helpers' reads and the
+// helpers' shard writes before the caller's barrier.
 type parPool struct {
 	seq     atomic.Int64 // epoch sequence number; parPoolStop shuts helpers down
 	pending atomic.Int32 // helpers still running the current epoch
 	epoch   struct{ start, end int64 }
 	blocks  [][]parShard // blocks[0] runs on the caller
+	helpers []parParker  // helpers[i] runs blocks[i+1]
+	caller  parParker
 	exited  sync.WaitGroup
 }
 
 const parPoolStop = -1
 
+// parSpins is how many times a pool goroutine polls, yielding between
+// polls, before it parks. It covers a typical barrier, so a pool that has
+// the host to itself seldom parks.
+const parSpins = 1000
+
+// parParker parks one pool goroutine until another wakes it.
+type parParker struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// await returns once ready reports true: it polls up to parSpins times,
+// then parks. A waker makes ready true before it calls wakeUp, so either
+// the re-check after parked is set sees it or wakeUp sees parked. A wake
+// can arrive late, after its waiter has moved on to a later condition, so
+// a woken waiter checks ready again.
+func (w *parParker) await(ready func() bool) {
+	for spins := 0; !ready(); spins++ {
+		if spins < parSpins {
+			runtime.Gosched()
+			continue
+		}
+		w.parked.Store(true)
+		if ready() && w.parked.CompareAndSwap(true, false) {
+			return
+		}
+		<-w.wake
+	}
+}
+
+// wakeUp releases w if it is parked.
+func (w *parParker) wakeUp() {
+	if w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+	}
+}
+
 // startPool splits shards into min(len(shards), GOMAXPROCS) contiguous
 // blocks and starts one helper goroutine per block after the first.
 func startPool(shards []parShard) *parPool {
 	g := min(len(shards), runtime.GOMAXPROCS(0))
-	pp := &parPool{blocks: make([][]parShard, g)}
+	pp := &parPool{
+		blocks:  make([][]parShard, g),
+		helpers: make([]parParker, g-1),
+		caller:  parParker{wake: make(chan struct{}, 1)},
+	}
 	for i := range pp.blocks {
 		pp.blocks[i] = shards[i*len(shards)/g : (i+1)*len(shards)/g]
 	}
 	pp.exited.Add(g - 1)
-	for _, blk := range pp.blocks[1:] {
-		go pp.help(blk)
+	for i := range pp.helpers {
+		pp.helpers[i].wake = make(chan struct{}, 1)
+		go pp.help(i)
 	}
 	return pp
 }
 
-func (pp *parPool) help(blk []parShard) {
+func (pp *parPool) help(i int) {
 	defer pp.exited.Done()
+	w, blk := &pp.helpers[i], pp.blocks[i+1]
 	seen := int64(0)
 	for {
+		w.await(func() bool { return pp.seq.Load() != seen })
 		s := pp.seq.Load()
-		if s == seen {
-			runtime.Gosched()
-			continue
-		}
 		if s == parPoolStop {
 			return
 		}
 		seen = s
 		runBlock(blk, pp.epoch.start, pp.epoch.end)
-		pp.pending.Add(-1)
+		if pp.pending.Add(-1) == 0 {
+			pp.caller.wakeUp()
+		}
 	}
 }
 
@@ -373,18 +421,24 @@ func (pp *parPool) help(blk []parShard) {
 // them have finished.
 func (pp *parPool) runEpoch(start, end int64) {
 	pp.epoch.start, pp.epoch.end = start, end
-	pp.pending.Store(int32(len(pp.blocks) - 1))
+	pp.pending.Store(int32(len(pp.helpers)))
 	pp.seq.Add(1)
+	pp.wakeHelpers()
 	runBlock(pp.blocks[0], start, end)
-	for pp.pending.Load() != 0 {
-		runtime.Gosched()
-	}
+	pp.caller.await(func() bool { return pp.pending.Load() == 0 })
 }
 
 // stop shuts the helpers down and waits until they have exited.
 func (pp *parPool) stop() {
 	pp.seq.Store(parPoolStop)
+	pp.wakeHelpers()
 	pp.exited.Wait()
+}
+
+func (pp *parPool) wakeHelpers() {
+	for i := range pp.helpers {
+		pp.helpers[i].wakeUp()
+	}
 }
 
 func runBlock(blk []parShard, start, end int64) {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,5 +346,73 @@ func TestParallelPoolGoroutinesDoNotOutliveRun(t *testing.T) {
 			count(tb, sm, cycle)
 			_ = inj.Fire()
 		}}})
+	})
+}
+
+func TestParallelParkerNeverMissesAWake(t *testing.T) {
+	// Two goroutines take turns through a pair of parkers, as the pool's
+	// caller and helper do. A waker publishes its turn before wakeUp, and
+	// the waiter must see it whether it is still polling or has parked.
+	// Sleeps push waiters past parSpins into the park path, and sleeps
+	// between publishing and wakeUp deliver wakes late, to a waiter that
+	// already moved on to its next turn: it must not return early.
+	var turn atomic.Int64
+	var stopped atomic.Bool
+	var w [2]parParker
+	for i := range w {
+		w[i].wake = make(chan struct{}, 1)
+	}
+	const turns = 800
+	play := func(me int64, self, other *parParker) {
+		for r := me; r < turns; r += 2 {
+			self.await(func() bool { return turn.Load() == r || stopped.Load() })
+			if stopped.Load() {
+				return
+			}
+			if got := turn.Load(); got != r {
+				t.Errorf("woken at turn %d, waiting for %d", got, r)
+				stopped.Store(true)
+				other.wakeUp()
+				return
+			}
+			if r%8 < 2 || r%8 == 6 {
+				time.Sleep(time.Millisecond)
+			}
+			turn.Store(r + 1)
+			if r%8 == 4 {
+				time.Sleep(time.Millisecond)
+			}
+			other.wakeUp()
+		}
+	}
+	done := make(chan struct{}, 2)
+	go func() { play(0, &w[0], &w[1]); done <- struct{}{} }()
+	go func() { play(1, &w[1], &w[0]); done <- struct{}{} }()
+	for range 2 {
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("hand-off stalled at turn %d: a wake was missed", turn.Load())
+		}
+	}
+}
+
+func TestParallelPoolParksThroughSlowBarriers(t *testing.T) {
+	// A slow barrier-side hook keeps helpers waiting past parSpins, so
+	// they park between epochs; results must not change and the parked
+	// helpers must still be shut down.
+	sim := MustNew(parConfig())
+	l := makeLaunch(computeKernel(), 48, 8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	want := resultFingerprint(sim.RunLaunch(l, RunOptions{Workers: 4}))
+	poolGoroutines(t, 3, func(hooks *Hooks) {
+		count := hooks.OnTBRetire
+		got := resultFingerprint(sim.RunLaunch(l, RunOptions{Workers: 4, Hooks: &Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
+			count(tb, sm, cycle)
+			time.Sleep(time.Millisecond)
+		}}}))
+		if !fingerprintsEqual(want, got) {
+			t.Error("a run with parked helpers diverged from one without")
+		}
 	})
 }
