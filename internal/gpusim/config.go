@@ -113,7 +113,8 @@ type Config struct {
 	// MSHRCapacity bounds the per-SM MSHR merge-tracking table: when more
 	// than this many lines are tracked, entries whose fill has completed
 	// are pruned. Only outstanding fills influence timing, so the knob
-	// trades memory for merge-tracking work without changing results.
+	// trades memory for merge-tracking work without changing results, on
+	// the serial and the parallel engine (TestParallelMSHRCapacityInvariant).
 	// Zero means DefaultMSHRCapacity; negative is rejected by Validate.
 	MSHRCapacity int
 }

@@ -6,9 +6,13 @@
 // modern GPU simulator" (arXiv 2502.14691): SMs are partitioned into
 // contiguous shards, one per worker, and every SM advances independently
 // through a time quantum of Q cycles. Shards meet at a barrier at the end
-// of each epoch, where a single goroutine services all deferred memory
-// traffic against the shared L2/DRAM, retires thread blocks, dispatches
-// replacements, closes sampling units, and polls cancellation.
+// of each epoch, where a single goroutine does only the work that needs
+// one global order: it services all deferred memory traffic against the
+// shared L2/DRAM in (arrive, sm, idx) order, wakes the waiting warps,
+// retires thread blocks and dispatches replacements in (cycle, sm) order,
+// closes sampling units, and polls cancellation. Writing the serviced
+// fills into the per-SM MSHR tables needs no global order, so each shard
+// does it for its own SMs at the start of the next epoch (parShard.settle).
 //
 // Shards are run by at most min(Workers, GOMAXPROCS) goroutines, the
 // caller included, each owning a contiguous block of shards (see parPool).
@@ -17,14 +21,17 @@
 //
 //   - Worker-owned during an epoch: the shard's smStates, the tbStates
 //     resident on those SMs, the warp streams, the per-SM L1 caches and
-//     MSHR tables, and the per-SM deferred-request records (parSM).
+//     MSHR tables, and the per-SM deferred-request records (parSM). The
+//     shard writes an SM's MSHR table at epoch start, settling the fills
+//     the previous barrier computed, before it steps the SM.
 //   - Barrier-owned (touched only between epochs, single-threaded): the
 //     L2, DRAM, dispatch cursor (nextTB/free/lastDispatch), liveTBs,
 //     hooks, sampling-unit state, the LaunchResult, and the metrics
 //     collector.
-//   - Per-shard scratch (merged at the barrier as order-independent
-//     sums): runCounters, issued-instruction counts, BBV accumulators,
-//     and the address buffer.
+//   - Per-shard scratch (merged at the barrier, or for the MSHR settle
+//     after the run, as order-independent sums): runCounters,
+//     issued-instruction, merge and prune counts, BBV accumulators, the
+//     MSHR occupancy observations, and the address buffer.
 //
 // Determinism contract: for a fixed quantum the simulation is a pure
 // function of the launch — independent of the worker count and of
@@ -74,8 +81,9 @@ const DefaultQuantum = 256
 // deferred request in the owning SM's parSM.reqs. Real completion cycles
 // are always far below it, so the issue path distinguishes "outstanding,
 // completion unknown" from "outstanding, completion known" with one
-// compare. Every sentinel is overwritten with the real completion cycle at
-// the barrier, so sentinels never survive an epoch.
+// compare. The barrier computes every sentinel's completion cycle, and the
+// owning shard's settle writes it over the sentinel before the SM issues
+// again, so no sentinel is ever read in a later epoch.
 const parSentinel = int64(1) << 60
 
 // parReq is one L1 miss deferred to the epoch barrier.
@@ -117,6 +125,7 @@ type parRetire struct {
 // SM — independent of how SMs are sharded across workers.
 type parSM struct {
 	reqs    []parReq
+	order   []int32 // reqs indices in the barrier's service order, for settle
 	waiters []parWaiter
 	pends   []parPending
 	retires []parRetire
@@ -125,6 +134,7 @@ type parSM struct {
 
 func (p *parSM) reset() {
 	p.reqs = p.reqs[:0]
+	p.order = p.order[:0]
 	p.waiters = p.waiters[:0]
 	p.pends = p.pends[:0]
 	p.retires = p.retires[:0]
@@ -283,6 +293,10 @@ type parShard struct {
 	bbv    []int64     // epoch-local BBV accumulator
 	mct    runCounters // epoch-local metrics scratch
 
+	// MSHR settle scratch, folded into the run after its last settle.
+	prunes  int64              // pruneCompleted calls
+	mshrObs *metrics.Collector // DistMSHROccupancy samples; nil when uninstrumented
+
 	panicV     any // recovered panic, re-raised by the barrier goroutine
 	panicStack []byte
 
@@ -323,13 +337,15 @@ type parState struct {
 // caller plus helpers, each owning a contiguous block of shards (blocks
 // that interleave share cache lines at their edges). An epoch is tens of
 // microseconds of work, about what a channel send, futex wake and
-// WaitGroup join cost, so a waiting goroutine polls first: the caller
-// publishes an epoch by bumping seq, and every helper that sees the new
-// value runs its block and decrements pending. A goroutine that polls
-// parSpins times in vain parks (parParker), so launches running side by
-// side do not keep idle helpers spinning through each other's epochs. The
-// atomics order the epoch bounds before the helpers' reads and the
-// helpers' shard writes before the caller's barrier.
+// WaitGroup join cost, so a waiting goroutine polls first (parParker): the
+// caller publishes an epoch by bumping seq, and every helper that sees the
+// new value runs its block and decrements pending. A goroutine polls
+// without yielding only while the process's simulation goroutines fit in
+// its CPUs, then yields between polls, and parks once that too stays in
+// vain, so launches running side by side do not keep idle helpers
+// spinning through each other's epochs. The atomics order the epoch
+// bounds before the helpers' reads and the helpers' shard writes before
+// the caller's barrier.
 type parPool struct {
 	seq     atomic.Int64 // epoch sequence number; parPoolStop shuts helpers down
 	pending atomic.Int32 // helpers still running the current epoch
@@ -342,6 +358,23 @@ type parPool struct {
 
 const parPoolStop = -1
 
+// simRunning counts the goroutines that are running simulations: every
+// RunLaunchProvider caller, serial or parallel, plus each pool helper. A
+// pool goroutine leaves the count while it is parked. Pool goroutines
+// compare it with the CPUs they may use to decide whether they may poll
+// without yielding. It is process-wide, not per Simulator, because
+// launches on different Simulators compete for the same CPUs.
+var simRunning atomic.Int64
+
+// parPolls is how many times a pool goroutine polls without yielding
+// before it starts to yield: about 5 µs, less than a typical barrier's
+// tail, so a pool that has the host to itself rarely reaches the
+// scheduler. Polling without yielding steals a core from any other
+// runnable simulation, so it happens only while simRunning fits in
+// min(GOMAXPROCS, NumCPU); launches running side by side on a full host
+// skip it.
+const parPolls = 4096
+
 // parSpins is how many times a pool goroutine polls, yielding between
 // polls, before it parks. It covers a typical barrier, so a pool that has
 // the host to itself seldom parks.
@@ -351,14 +384,21 @@ const parSpins = 1000
 type parParker struct {
 	parked atomic.Bool
 	wake   chan struct{}
+	procs  int64 // CPUs for simulation goroutines; 0 never polls without yielding
 }
 
-// await returns once ready reports true: it polls up to parSpins times,
-// then parks. A waker makes ready true before it calls wakeUp, so either
-// the re-check after parked is set sees it or wakeUp sees parked. A wake
-// can arrive late, after its waiter has moved on to a later condition, so
-// a woken waiter checks ready again.
+// await returns once ready reports true. It polls up to parPolls times
+// without yielding while simRunning is at most procs, then up to parSpins
+// times yielding between polls, then parks. A waker makes ready true
+// before it calls wakeUp, so either the re-check after parked is set sees
+// it or wakeUp sees parked. A wake can arrive late, after its waiter has
+// moved on to a later condition, so a woken waiter checks ready again.
 func (w *parParker) await(ready func() bool) {
+	for polls := 0; polls < parPolls && simRunning.Load() <= w.procs; polls++ {
+		if ready() {
+			return
+		}
+	}
 	for spins := 0; !ready(); spins++ {
 		if spins < parSpins {
 			runtime.Gosched()
@@ -368,7 +408,9 @@ func (w *parParker) await(ready func() bool) {
 		if ready() && w.parked.CompareAndSwap(true, false) {
 			return
 		}
+		simRunning.Add(-1)
 		<-w.wake
+		simRunning.Add(1)
 	}
 }
 
@@ -382,18 +424,23 @@ func (w *parParker) wakeUp() {
 // startPool splits shards into min(len(shards), GOMAXPROCS) contiguous
 // blocks and starts one helper goroutine per block after the first.
 func startPool(shards []parShard) *parPool {
-	g := min(len(shards), runtime.GOMAXPROCS(0))
+	procs := runtime.GOMAXPROCS(0)
+	g := min(len(shards), procs)
+	// Polling without yielding needs a CPU per simulation goroutine, and
+	// GOMAXPROCS may exceed the CPUs the process can run on.
+	cpus := int64(min(procs, runtime.NumCPU()))
 	pp := &parPool{
 		blocks:  make([][]parShard, g),
 		helpers: make([]parParker, g-1),
-		caller:  parParker{wake: make(chan struct{}, 1)},
+		caller:  parParker{wake: make(chan struct{}, 1), procs: cpus},
 	}
 	for i := range pp.blocks {
 		pp.blocks[i] = shards[i*len(shards)/g : (i+1)*len(shards)/g]
 	}
 	pp.exited.Add(g - 1)
+	simRunning.Add(int64(g - 1))
 	for i := range pp.helpers {
-		pp.helpers[i].wake = make(chan struct{}, 1)
+		pp.helpers[i] = parParker{wake: make(chan struct{}, 1), procs: cpus}
 		go pp.help(i)
 	}
 	return pp
@@ -401,6 +448,7 @@ func startPool(shards []parShard) *parPool {
 
 func (pp *parPool) help(i int) {
 	defer pp.exited.Done()
+	defer simRunning.Add(-1)
 	w, blk := &pp.helpers[i], pp.blocks[i+1]
 	seen := int64(0)
 	for {
@@ -484,6 +532,10 @@ func (rs *runState) runParallel() {
 		sh.issued, sh.merges = 0, 0
 		sh.mct = runCounters{}
 		sh.bbv = sh.bbv[:0]
+		sh.prunes, sh.mshrObs = 0, nil
+		if rs.mc != nil {
+			sh.mshrObs = metrics.New()
+		}
 		sh.panicV, sh.panicStack = nil, nil
 	}
 	p.maxRetire = 0
@@ -550,6 +602,16 @@ func (rs *runState) runParallel() {
 		}
 	}
 
+	// The last barrier's fills are still unsettled; settle them so the
+	// MSHR counters cover every request, then fold the settle scratch.
+	for i := range p.shards {
+		sh := &p.shards[i]
+		for smi := sh.lo; smi < sh.hi; smi++ {
+			sh.settle(smi)
+		}
+		rs.mem.prunes += sh.prunes
+		rs.mc.Merge(sh.mshrObs)
+	}
 	if !rs.aborted && p.maxRetire > 0 {
 		rs.cycle = p.maxRetire
 	}
@@ -568,8 +630,42 @@ func (sh *parShard) runEpoch(start, end int64) {
 		}
 	}()
 	for i := sh.lo; i < sh.hi; i++ {
+		sh.settle(i)
 		sh.stepSM(&sh.rs.sms[i], &sh.rs.par.sms[i].wheel, start, end)
 	}
+}
+
+// settle writes the fill completions the last barrier computed for SM
+// smi's deferred requests into its MSHR table, over their sentinels, and
+// clears the requests. It walks them in the barrier's service order and
+// observes, puts and prunes exactly as memSystem.access does, so the
+// table, the prune count and the occupancy samples are those of servicing
+// the requests one by one at the barrier. Each table belongs to one SM, so
+// only that SM's part of the global order matters.
+func (sh *parShard) settle(smi int) {
+	psm := &sh.rs.par.sms[smi]
+	m := sh.rs.mem
+	t := &m.mshrs[smi]
+	l1 := &m.l1[smi]
+	for _, ri := range psm.order {
+		req := &psm.reqs[ri]
+		if sh.mshrObs != nil {
+			sh.mshrObs.Observe(metrics.DistMSHROccupancy, uint64(t.n))
+		}
+		var line uint64
+		if l1.lineShift >= 0 {
+			line = req.addr >> l1.lineShift
+		} else {
+			line = req.addr / l1.lineB
+		}
+		t.put(line, req.done)
+		if t.n > m.prune {
+			sh.prunes++
+			t.pruneCompleted(req.arrive)
+		}
+	}
+	psm.order = psm.order[:0]
+	psm.reqs = psm.reqs[:0]
 }
 
 // stepSM runs one SM through [start, end): at each cycle it drains the
@@ -777,9 +873,11 @@ func (sh *parShard) finishWarp(tb *tbState, wi int32, cycle int64) {
 // barrier is the single-threaded end-of-epoch exchange: merge shard
 // scratch, service deferred memory traffic in a deterministic global
 // order, wake the waiting warps, process retirements and dispatch
-// replacements, close sampling units, and poll cancellation. rs.cycle is
-// end on entry and on return (retirement processing rewinds it temporarily
-// so dispatchOne sees the retire cycle, as the serial loop would).
+// replacements, close sampling units, and poll cancellation. It leaves
+// the serviced fills for the owning shards to settle into their MSHR
+// tables at the next epoch start. rs.cycle is end on entry and on return
+// (retirement processing rewinds it temporarily so dispatchOne sees the
+// retire cycle, as the serial loop would).
 func (rs *runState) barrier(end int64) {
 	p := rs.par
 	m := rs.mem
@@ -833,22 +931,9 @@ func (rs *runState) barrier(end int64) {
 		} else {
 			req.done = m.dram.access(req.addr, req.arrive+l2Lat)
 		}
-		t := &m.mshrs[r.sm]
-		if m.mc != nil {
-			m.mc.Observe(metrics.DistMSHROccupancy, uint64(t.n))
-		}
-		l1 := &m.l1[r.sm]
-		var line uint64
-		if l1.lineShift >= 0 {
-			line = req.addr >> l1.lineShift
-		} else {
-			line = req.addr / l1.lineB
-		}
-		t.put(line, req.done) // overwrites the epoch's sentinel
-		if t.n > m.prune {
-			m.prunes++
-			t.pruneCompleted(req.arrive)
-		}
+		// The owning shard writes done into the MSHR table (settle).
+		psm := &p.sms[r.sm]
+		psm.order = append(psm.order, r.idx)
 	}
 
 	// 3. Resolve waiters against their fills, then wake every pending
@@ -878,7 +963,6 @@ func (rs *runState) barrier(end int64) {
 			}
 			rs.wake(pd.ref, pd.done)
 		}
-		psm.reqs = psm.reqs[:0]
 		psm.waiters = psm.waiters[:0]
 		psm.pends = psm.pends[:0]
 	}

@@ -1,17 +1,20 @@
 package gpusim
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/metrics"
 	"tbpoint/internal/trace"
 )
 
@@ -274,26 +277,52 @@ func TestParallelBarrierOrderMatchesComparatorSort(t *testing.T) {
 	}
 }
 
+// poolHelpers counts the goroutines inside parPool.help, exiting ones
+// included.
+func poolHelpers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("gpusim.(*parPool).help("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // poolGoroutines runs f, checks that the parallel engine had wantHelpers
-// pool goroutines beside the caller while the launch ran (sampled from a
-// barrier-side hook), and that none of them outlived RunLaunch.
+// pool helpers while the launch ran (sampled from a barrier-side hook),
+// and that neither they nor any other goroutine outlived RunLaunch.
+// Helpers are counted by their stacks, not as a difference of
+// runtime.NumGoroutine, which other goroutines still exiting (an earlier
+// test's, an earlier run's helper) would skew.
 func poolGoroutines(t *testing.T, wantHelpers int, f func(hooks *Hooks)) {
 	t.Helper()
+	// RunLaunch returns once its helpers have signalled their exit, but a
+	// helper may still be unwinding; wait until none is left, so this
+	// run's count holds only its own.
+	deadline := time.Now().Add(2 * time.Second)
+	for poolHelpers() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	before := runtime.NumGoroutine()
 	during := -1
 	f(&Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
 		if during < 0 {
-			during = runtime.NumGoroutine()
+			during = poolHelpers()
 		}
 	}})
-	if during-before != wantHelpers {
-		t.Errorf("%d goroutines beside the caller during the run, want %d", during-before, wantHelpers)
+	if during != wantHelpers {
+		t.Errorf("%d pool helpers during the run, want %d", during, wantHelpers)
 	}
 	// A helper that has signalled its exit may still be unwinding; allow
 	// it a moment, but a leaked helper polls forever and fails here.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+	deadline = time.Now().Add(2 * time.Second)
+	for (poolHelpers() > 0 || runtime.NumGoroutine() > before) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+	}
+	if n := poolHelpers(); n > 0 {
+		t.Errorf("%d pool helpers outlived RunLaunch", n)
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines outlived RunLaunch", n-before)
@@ -415,4 +444,121 @@ func TestParallelPoolParksThroughSlowBarriers(t *testing.T) {
 			t.Error("a run with parked helpers diverged from one without")
 		}
 	})
+}
+
+func TestParallelMetricsAreObservationOnly(t *testing.T) {
+	// Shards observe MSHR occupancy and count prunes in their own scratch
+	// as they settle the barrier's fills; the run folds it into the
+	// collector at the end. Attaching a collector must not change results,
+	// and what it records must not depend on the worker count. A small
+	// MSHR capacity makes the shards prune.
+	cfg := parConfig()
+	cfg.MSHRCapacity = 8
+	sim := MustNew(cfg)
+	l := makeLaunch(memoryKernel(), 32, 24)
+	opts := RunOptions{FixedUnitInsts: 500, CollectBBV: true, Workers: 4}
+	off := resultFingerprint(sim.RunLaunch(l, opts))
+	var want metrics.Snapshot
+	for _, w := range []int{4, 2, 8} {
+		mc := metrics.New()
+		opts.Workers, opts.Metrics = w, mc
+		on := resultFingerprint(sim.RunLaunch(l, opts))
+		snap := mc.Snapshot()
+		if w == 4 {
+			if !fingerprintsEqual(off, on) {
+				t.Fatal("attaching a collector changed the parallel run's results")
+			}
+			want = snap
+			if want.Counters["mem.mshr_prunes"] == 0 || want.Dists["mem.mshr_occupancy"].Count == 0 {
+				t.Fatalf("collector saw %d prunes and %d occupancy samples, want both > 0",
+					want.Counters["mem.mshr_prunes"], want.Dists["mem.mshr_occupancy"].Count)
+			}
+			continue
+		}
+		if got, w4 := snap.Counters["mem.mshr_prunes"], want.Counters["mem.mshr_prunes"]; got != w4 {
+			t.Errorf("workers=%d: mem.mshr_prunes = %d, workers=4 %d", w, got, w4)
+		}
+		if got, w4 := snap.Dists["mem.mshr_occupancy"], want.Dists["mem.mshr_occupancy"]; got != w4 {
+			t.Errorf("workers=%d: mem.mshr_occupancy = %+v, workers=4 %+v", w, got, w4)
+		}
+	}
+
+	// Every deferred request is observed once as its fill settles. A run
+	// cancelled at a barrier ends with that barrier's fills unsettled, so
+	// this holds only if the run settles them before it reports.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	retired := 0
+	mc := metrics.New()
+	opts.Workers, opts.Metrics, opts.Ctx = 4, mc, ctx
+	opts.Hooks = &Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
+		if retired++; retired == 5 {
+			cancel()
+		}
+	}}
+	if !sim.RunLaunch(l, opts).Aborted {
+		t.Fatal("cancelled run not flagged aborted")
+	}
+	snap := mc.Snapshot()
+	if got, want := snap.Dists["mem.mshr_occupancy"].Count, snap.Counters["sim.deferred_reqs"]; got != want {
+		t.Errorf("aborted run observed %d MSHR occupancies for %d deferred requests", got, want)
+	}
+}
+
+func TestParallelConcurrentLaunches(t *testing.T) {
+	// Three 2-worker launches share one Simulator at GOMAXPROCS 2, so the
+	// process runs more simulation goroutines than it has Ps, the case in
+	// which pool goroutines must not poll without yielding. Results must
+	// match sequential runs, and every helper must be gone afterwards.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sim := MustNew(parConfig())
+	launches := []*kernel.Launch{
+		makeLaunch(computeKernel(), 48, 8),
+		makeLaunch(memoryKernel(), 32, 24),
+		makeLaunch(barrierKernel(), 48, 8),
+	}
+	opts := RunOptions{FixedUnitInsts: 500, CollectBBV: true, Workers: 2}
+	want := make([]LaunchResult, len(launches))
+	for i, l := range launches {
+		want[i] = resultFingerprint(sim.RunLaunch(l, opts))
+	}
+	got := make([]LaunchResult, len(launches))
+	// One helper per pool.
+	poolGoroutines(t, len(launches), func(hooks *Hooks) {
+		// Each launch's first retirement waits until all three pools are
+		// alive and launch 0 has sampled the goroutines.
+		var started, finished sync.WaitGroup
+		started.Add(len(launches))
+		sampled := make(chan struct{})
+		run := func(i int) {
+			var first sync.Once
+			o := opts
+			o.Hooks = &Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
+				first.Do(func() {
+					started.Done()
+					started.Wait()
+					if i == 0 {
+						hooks.OnTBRetire(tb, sm, cycle)
+						close(sampled)
+					}
+					<-sampled
+				})
+			}}
+			got[i] = resultFingerprint(sim.RunLaunch(launches[i], o))
+		}
+		finished.Add(len(launches) - 1)
+		for i := 1; i < len(launches); i++ {
+			go func() {
+				defer finished.Done()
+				run(i)
+			}()
+		}
+		run(0)
+		finished.Wait()
+	})
+	for i := range launches {
+		if !fingerprintsEqual(want[i], got[i]) {
+			t.Errorf("launch %d run beside two others diverged from its sequential run", i)
+		}
+	}
 }

@@ -500,6 +500,8 @@ func (s *Simulator) RunLaunch(l *kernel.Launch, opts RunOptions) *LaunchResult {
 // The launch supplies only occupancy-relevant resource demands; the
 // instruction stream comes entirely from prov.
 func (s *Simulator) RunLaunchProvider(l *kernel.Launch, prov trace.Provider, opts RunOptions) *LaunchResult {
+	simRunning.Add(1)
+	defer simRunning.Add(-1)
 	ar := s.getArena()
 	rs := ar.reset(s, prov, opts)
 	rs.occ = s.cfg.Limits.BlocksPerSM(l.Kernel)

@@ -29,10 +29,11 @@
 #           default trio equals an unflagged run
 #   parsm   the -parallel-sm event loop: race-detector passes over the
 #           TestParallel* suite (barrier hammer, determinism, worker-count
-#           invariance, chaos cancellation, epoch pool), at the host's
-#           GOMAXPROCS and at GOMAXPROCS=1, then a serial-vs-parallel
-#           agreement run via cmd/experiments that fails on any
-#           instruction-count mismatch or cycle divergence > 5%
+#           invariance, chaos cancellation, epoch pool, concurrent
+#           launches), at the host's GOMAXPROCS, at 1 and at 4, then a
+#           serial-vs-parallel agreement run via cmd/experiments that
+#           fails on any instruction-count mismatch or cycle divergence
+#           > 5%
 #   serve   the tbpointd job server end to end, race-instrumented: boot on
 #           an ephemeral port, submit a grid over HTTP, download the
 #           results.json and cmp it against the one-shot cmd/experiments
@@ -236,9 +237,12 @@ run_parsm() {
   # loop's instructions with bounded cycle divergence. -count=1 because
   # these tests exist to exercise real goroutine interleavings. The
   # GOMAXPROCS=1 pass runs every shard on the caller (the epoch pool caps
-  # its goroutines at GOMAXPROCS), so both hand-off paths are covered.
+  # its goroutines at GOMAXPROCS), so both hand-off paths are covered. The
+  # GOMAXPROCS=4 pass oversubscribes the pools on 2-core runners, where
+  # goroutines that poll without yielding would starve the others.
   go test -race -count=1 -run 'TestParallel' ./internal/gpusim/
   GOMAXPROCS=1 go test -race -count=1 -run 'TestParallel' ./internal/gpusim/
+  GOMAXPROCS=4 go test -race -count=1 -run 'TestParallel' ./internal/gpusim/
   go run ./cmd/experiments -par 1 -scale 0.02 -bench stream,black,cfd \
     -parallel-sm 8 -max-divergence 0.05 agreement >/dev/null
 }
